@@ -7,7 +7,7 @@ artifacts, followed by a ``manifest.json`` listing each artifact's sha256.
 Reruns with identical config and seed reproduce byte-identical artifacts.
 
 Exit codes: 0 success, 2 validation error, 3 numerical/guard error, 4 I/O
-error.  ``GBS_TOOLKIT_THREADS`` caps the simulator's internal parallelism.
+error.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def _resolve_config(config_path, cli_values: dict, defaults: dict) -> dict:
     """defaults < config file < explicit CLI flags; unknown config keys rejected."""
     resolved = dict(defaults)
     if config_path is not None:
-        doc = json.loads(Path(config_path).read_text())
+        doc = serialize.load_json(Path(config_path))
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config {config_path}: expected a JSON object")
         unknown = set(doc) - set(defaults)
         if unknown:
             raise ValidationError(f"config {config_path}: unknown keys {sorted(unknown)}")

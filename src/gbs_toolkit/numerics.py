@@ -5,13 +5,17 @@ Conventions fixed here once:
 * A "symmetric matrix" is complex square with ``M == M.T`` (not Hermitian).
 * ``takagi`` factors a symmetric B as ``U @ diag(lam) @ U.T`` with U unitary
   and ``lam >= 0`` sorted descending, ties kept in original order.
-* ``hafnian`` sums products over perfect matchings; computed by the
-  inclusion-exclusion power-trace method in O(2^(n/2) poly(n)).  The direct
-  matching enumeration is kept as an independent test oracle.
+* ``hafnian_batch`` is the one hafnian kernel: it evaluates the hafnians of
+  many index-selected submatrices of one matrix at once, by summing perfect
+  matchings for small n and by the inclusion-exclusion power-trace method,
+  O(2^(n/2) poly(n)), above that.  ``hafnian`` is its one-matrix form; the
+  scalar matching enumeration ``hafnian_by_matchings`` is kept as an
+  independent test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -111,44 +115,81 @@ def _degenerate_blocks(s: np.ndarray, rtol: float = 1e-8) -> list[tuple[int, int
 # Hafnian
 
 
+MATCHING_MAX = 8  # up to 105 perfect matchings: summed directly, larger n by power traces
+_TRACE_BLOCK = 1 << 19  # complex entries per gathered power-trace array (8 MiB)
+
+
 def hafnian(m: np.ndarray) -> complex:
-    """Hafnian by the inclusion-exclusion power-trace method.
-
-    Odd dimension returns 0, the empty matrix returns 1.  Exact (up to
-    round-off) for the desk-scale dimensions this toolkit needs (n <= 32).
-    """
+    """Hafnian of one symmetric matrix; odd dimension returns 0, empty returns 1."""
     m = ensure_symmetric(np.asarray(m, dtype=complex), name="hafnian input")
-    n = m.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
+    return complex(hafnian_batch(m, np.arange(m.shape[0])[np.newaxis, :])[0])
+
+
+def hafnian_batch(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``Haf(m[r][:, r])`` for every row ``r`` of the ``(P, n)`` index array.
+
+    ``m`` must be symmetric (not checked); indices may repeat within a row.
+    For n <= MATCHING_MAX the perfect matchings are summed, vectorized over
+    rows; above it the inclusion-exclusion power-trace formula runs on the
+    gathered ``(chunk, n, n)`` stack by batched matmul, exact up to round-off
+    for the desk-scale sizes this toolkit needs (n <= 32).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    npat, n = rows.shape
     if n % 2:
-        return 0.0 + 0.0j
+        return np.zeros(npat, dtype=complex)
+    if n <= MATCHING_MAX:
+        return _hafnian_by_matchings_batch(m, rows)
+    return _hafnian_by_power_traces_batch(m, rows)
 
+
+def _hafnian_by_matchings_batch(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    npat, n = rows.shape
+    matchings = perfect_matchings(n)
+    out = np.zeros(npat, dtype=complex)
+    chunk = max(1, 200_000 // max(1, len(matchings)) * 8)
+    for start in range(0, npat, chunk):
+        sel = rows[start:start + chunk]
+        h = np.zeros(sel.shape[0], dtype=complex)
+        for matching in matchings:
+            term = np.ones(sel.shape[0], dtype=complex)
+            for i, j in matching:
+                term = term * m[sel[:, i], sel[:, j]]
+            h += term
+        out[start:start + chunk] = h
+    return out
+
+
+def _hafnian_by_power_traces_batch(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Haf(A) = sum over pair subsets S of (-1)^(n/2-|S|) times the x^(n/2)
+    coefficient of exp(sum_j tr((XA)_S^j) x^j / 2j), X swapping each pair's rows."""
+    npat, n = rows.shape
     half = n // 2
-    total = 0.0 + 0.0j
-    for mask in range(1, 1 << half):
-        pairs = [z for z in range(half) if mask >> z & 1]
-        idx = np.array([2 * z + o for z in pairs for o in (0, 1)])
-        # X swaps the two rows of every pair block
-        swap = idx.reshape(-1, 2)[:, ::-1].reshape(-1)
-        xa = m[np.ix_(swap, idx)]
-        eigs = np.linalg.eigvals(xa)
-        powsums = np.array([np.sum(eigs ** j) for j in range(1, half + 1)])
-        coeff = _series_exp_coeff(powsums / (2 * np.arange(1, half + 1)), half)
-        total += (-1.0) ** (half - len(pairs)) * coeff
-    return complex(total)
-
-
-def _series_exp_coeff(q: np.ndarray, order: int) -> complex:
-    """Coefficient of x^order in exp(sum_j q[j-1] x^j), truncated at x^order."""
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = 1.0
-    for k in range(1, order + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            acc += j * q[j - 1] * c[k - j]
-        c[k] = acc / k
-    return complex(c[order])
+    # row/column indices of every subset of pairs, one (C(half, size), 2 size) array per size
+    subsets = [(2 * np.array(list(itertools.combinations(range(half), size)))[:, :, np.newaxis]
+                + np.arange(2)).reshape(-1, 2 * size) for size in range(1, half + 1)]
+    chunk = max(1, _TRACE_BLOCK // (n * n))
+    out = np.zeros(npat, dtype=complex)
+    for start in range(0, npat, chunk):
+        sel = rows[start:start + chunk]
+        xa = m[sel[:, np.arange(n) ^ 1, np.newaxis], sel[:, np.newaxis, :]]
+        for size, idx in enumerate(subsets, start=1):
+            block = max(1, _TRACE_BLOCK // (len(sel) * max(4 * size * size, half)))
+            for part in np.split(idx, range(block, len(idx), block)):
+                sub = xa[:, part[:, :, np.newaxis], part[:, np.newaxis, :]]
+                q = np.empty(sub.shape[:2] + (half,), dtype=complex)
+                power = sub
+                for j in range(half):
+                    q[..., j] = np.trace(power, axis1=-2, axis2=-1) / (2 * j + 2)
+                    if j + 1 < half:
+                        power = power @ sub
+                # c_k = sum_j j q_j c_(k-j) / k are the coefficients of exp(sum_j q_j x^j)
+                coeffs = [np.ones(q.shape[:2], dtype=complex)]
+                for k in range(1, half + 1):
+                    coeffs.append(sum(j * q[..., j - 1] * coeffs[k - j]
+                                      for j in range(1, k + 1)) / k)
+                out[start:start + chunk] += (-1) ** (half - size) * coeffs[half].sum(axis=1)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_json(path: Path) -> dict:
+def load_json(path: Path) -> dict:
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -89,7 +89,7 @@ def graph_from_json(text: str, where: str = "graph") -> WeightedGraph:
 
 
 def load_graph(path: Path) -> WeightedGraph:
-    return graph_from_json(_load_json(path), where=str(path))
+    return graph_from_json(load_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def program_from_json(text: str, where: str = "program") -> GbsProgram:
 
 
 def load_program(path: Path) -> GbsProgram:
-    return program_from_json(_load_json(path), where=str(path))
+    return program_from_json(load_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def pharmacophores_from_json(text: str, where: str = "points"):
 
 
 def load_pharmacophores(path: Path):
-    return pharmacophores_from_json(_load_json(path), where=str(path))
+    return pharmacophores_from_json(load_json(path), where=str(path))
 
 
 def docking_params_from_json(text: str) -> DockingParams:

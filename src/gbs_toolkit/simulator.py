@@ -15,24 +15,24 @@ A = X (I - Q^{-1}), X the block swap.  Then
     p(nbar) = Haf(A_nbar) / (sqrt(det Q) * prod_i n_i!)
 
 where A_nbar repeats mode i (in both halves) n_i times.  For pure states A
-splits into conj(B) (+) B and the hafnian factors as |Haf(B_nbar)|^2, which
-is also the fast path used for whole-sector enumeration.
+splits into conj(B) (+) B and the hafnian factors as |Haf(B_nbar)|^2.  Every
+path (pure collision-free, pure photon-number-resolving and lossy) evaluates a
+whole sector with one call to the batched kernel ``numerics.hafnian_batch``;
+``pattern_probability`` uses its one-matrix form ``numerics.hafnian``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import GbsProgram
 from .errors import GuardError, ValidationError
-from .numerics import hafnian, perfect_matchings
+from .numerics import hafnian, hafnian_batch
 from .seeding import STREAM_SAMPLER, spawn_rng
 
 PATTERN_GUARD = 1_000_000
@@ -89,10 +89,6 @@ class PhotonPattern:
     @property
     def collision_free(self) -> bool:
         return all(c <= 1 for c in self.counts)
-
-    def modes(self) -> tuple[int, ...]:
-        """Occupied modes, each repeated by its count."""
-        return tuple(m for m, c in enumerate(self.counts) for _ in range(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,40 +187,23 @@ def _state_kernel(state: GaussianState) -> _Kernel:
                    bmat=a[m:, m:].copy() if pure else None)
 
 
-def _finalize_probability(value: complex, context: str) -> float:
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise GuardError(f"{context}: imaginary residue {value.imag:.3e}")
-    p = float(value.real)
-    if p < 0:
-        if p < PROB_CLAMP:
-            raise GuardError(f"{context}: negative probability {p:.3e}")
-        p = 0.0
-    return p
+_FACTORIALS = np.array([math.factorial(c) for c in range(PHOTON_LIMIT + 1)], dtype=float)
 
 
-def _pattern_factorial(counts: np.ndarray) -> float:
-    out = 1.0
-    for c in counts:
-        out *= math.factorial(int(c))
-    return out
-
-
-def _probability_from_kernel(kernel: _Kernel, counts: np.ndarray) -> float:
-    total = int(counts.sum())
-    if total == 0:
-        return _finalize_probability(1.0 / kernel.sqrt_det_q + 0j, "vacuum pattern")
-    modes = np.repeat(np.arange(len(counts)), counts)
-    norm = kernel.sqrt_det_q * _pattern_factorial(counts)
+def _probabilities(kernel: _Kernel, h: np.ndarray, fact: np.ndarray | float,
+                   context: str) -> np.ndarray:
+    """Pattern probabilities from their hafnians and count factorials prod(n_i!)."""
+    norm = kernel.sqrt_det_q * fact
     if kernel.pure:
-        if total % 2:
-            return 0.0
-        sub = kernel.bmat[np.ix_(modes, modes)]
-        h = hafnian(sub)
-        return _finalize_probability(abs(h) ** 2 / norm + 0j, "pure pattern")
-    m = len(counts)
-    idx = np.concatenate([modes, modes + m])
-    h = hafnian(kernel.a[np.ix_(idx, idx)])
-    return _finalize_probability(h / norm, "pattern")
+        return np.abs(h) ** 2 / norm
+    values = h / norm
+    residue = np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values.real))
+    if residue.any():
+        raise GuardError(f"{context}: imaginary residue {values.imag[residue][0]:.3e}")
+    p = values.real
+    if (p < PROB_CLAMP).any():
+        raise GuardError(f"{context}: negative probability {p.min():.3e}")
+    return np.where(p < 0, 0.0, p)
 
 
 def pattern_probability(s: GaussianState, n: PhotonPattern) -> float:
@@ -233,25 +212,36 @@ def pattern_probability(s: GaussianState, n: PhotonPattern) -> float:
         raise ValidationError("pattern length must equal mode count")
     if n.total > PHOTON_LIMIT:
         raise GuardError(f"pattern too large: {n.total} photons exceeds the {PHOTON_LIMIT} kernel limit")
-    return _probability_from_kernel(_state_kernel(s), np.asarray(n.counts, dtype=int))
+    kernel = _state_kernel(s)
+    counts = np.asarray(n.counts, dtype=int)
+    modes = np.repeat(np.arange(len(counts)), counts)
+    if kernel.pure:
+        h = hafnian(kernel.bmat[np.ix_(modes, modes)])
+    else:
+        idx = np.concatenate([modes, modes + len(counts)])
+        h = hafnian(kernel.a[np.ix_(idx, idx)])
+    fact = np.prod(_FACTORIALS[counts])
+    return float(_probabilities(kernel, np.array([h]), fact, "pattern")[0])
 
 
 # ---------------------------------------------------------------------------
 # sector enumeration
 
 
-def _sector_mode_tuples(m: int, k: int, collision_free: bool) -> np.ndarray:
-    if collision_free:
-        count = math.comb(m, k)
-    else:
-        count = math.comb(m + k - 1, k)
+def _sector_size(m: int, k: int, collision_free: bool) -> int:
+    """Validate one sector request and return its pattern count."""
+    if k < 0:
+        raise ValidationError("total_photons must be >= 0")
+    if collision_free and k > m:
+        raise ValidationError("collision-free total cannot exceed the mode count")
+    if k > PHOTON_LIMIT:
+        raise GuardError(f"pattern too large: {k} photons exceeds "
+                         f"the {PHOTON_LIMIT} kernel limit")
+    count = math.comb(m, k) if collision_free else math.comb(m + k - 1, k)
     if count > PATTERN_GUARD:
         raise GuardError(f"sector ({m} modes, {k} photons) has {count} patterns, "
                          f"exceeding the {PATTERN_GUARD} enumeration guard")
-    gen = itertools.combinations(range(m), k) if collision_free \
-        else itertools.combinations_with_replacement(range(m), k)
-    flat = np.fromiter(itertools.chain.from_iterable(gen), dtype=np.int64, count=count * k)
-    return flat.reshape(count, k)
+    return count
 
 
 def _counts_from_modes(mode_tuples: np.ndarray, m: int) -> np.ndarray:
@@ -262,77 +252,39 @@ def _counts_from_modes(mode_tuples: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GBS_TOOLKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pure_sector_probs(kernel: _Kernel, mode_tuples: np.ndarray) -> np.ndarray:
-    """Vectorized |Haf(B_S)|^2 over every pattern of one sector."""
-    npat, k = mode_tuples.shape
-    if k % 2:
-        return np.zeros(npat)
-    b = kernel.bmat
-    matchings = perfect_matchings(k)
-    out = np.zeros(npat)
-    chunk = max(1, 200_000 // max(1, len(matchings)) * 8)
-    for start in range(0, npat, chunk):
-        sel = mode_tuples[start:start + chunk]
-        h = np.zeros(sel.shape[0], dtype=complex)
-        for matching in matchings:
-            term = np.ones(sel.shape[0], dtype=complex)
-            for i, j in matching:
-                term = term * b[sel[:, i], sel[:, j]]
-            h += term
-        out[start:start + chunk] = np.abs(h) ** 2
-    return out
-
-
-def _sector_probs(kernel: _Kernel, mode_tuples: np.ndarray, m: int,
-                  counts: np.ndarray, collision_free: bool) -> np.ndarray:
-    if kernel.pure and collision_free:
-        return _pure_sector_probs(kernel, mode_tuples) / kernel.sqrt_det_q
-
-    def one(i: int) -> float:
-        return _probability_from_kernel(kernel, counts[i].astype(int))
-
-    n = counts.shape[0]
-    threads = _threads()
-    if threads > 1 and n > 256:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.fromiter(pool.map(one, range(n)), dtype=float, count=n)
-    return np.fromiter((one(i) for i in range(n)), dtype=float, count=n)
-
-
 def enumerate_distribution(s: GaussianState, total_photons: int,
                            collision_free: bool = False) -> Distribution:
     """Every pattern with the given photon total, with exact probabilities."""
-    m = s.mode_count
-    if total_photons < 0:
-        raise ValidationError("total_photons must be >= 0")
-    if collision_free and total_photons > m:
-        raise ValidationError("collision-free total cannot exceed the mode count")
-    if total_photons > PHOTON_LIMIT:
-        raise GuardError(f"pattern too large: {total_photons} photons exceeds "
-                         f"the {PHOTON_LIMIT} kernel limit")
+    m, k = s.mode_count, total_photons
+    count = _sector_size(m, k, collision_free)
     kernel = _state_kernel(s)
-    mode_tuples = _sector_mode_tuples(m, total_photons, collision_free)
+    gen = itertools.combinations(range(m), k) if collision_free \
+        else itertools.combinations_with_replacement(range(m), k)
+    flat = np.fromiter(itertools.chain.from_iterable(gen), dtype=np.int64, count=count * k)
+    mode_tuples = flat.reshape(count, k)
     counts = _counts_from_modes(mode_tuples, m)
-    probs = _sector_probs(kernel, mode_tuples, m, counts, collision_free)
-    probs = np.where((probs < 0) & (probs >= PROB_CLAMP), 0.0, probs)
+    if kernel.pure:
+        h = hafnian_batch(kernel.bmat, mode_tuples)
+    else:
+        h = hafnian_batch(kernel.a, np.concatenate([mode_tuples, mode_tuples + m], axis=1))
+    fact = 1.0 if collision_free else np.prod(_FACTORIALS[counts], axis=1)
+    probs = _probabilities(kernel, h, fact, f"sector ({m} modes, {k} photons)")
     return Distribution(counts, probs, float(probs.sum()))
 
 
 def truncated_distribution(s: GaussianState, max_total_photons: int,
                            collision_free: bool = False,
                            min_total_photons: int = 0) -> Distribution:
-    """All patterns with min <= total <= max, stacked in ascending-total order."""
+    """All patterns with min <= total <= max, stacked in ascending-total order.
+
+    Every sector is checked against the guards before any is enumerated.
+    """
     if min_total_photons > max_total_photons:
         raise ValidationError("min_total_photons cannot exceed max_total_photons")
-    parts = [enumerate_distribution(s, k, collision_free)
-             for k in range(min_total_photons, max_total_photons + 1)]
+    totals = range(min_total_photons, max_total_photons + 1)
+    for k in totals:
+        _sector_size(s.mode_count, k, collision_free)
+    parts = [enumerate_distribution(s, k, collision_free) for k in totals]
     counts = np.vstack([p.pattern_counts for p in parts])
     probs = np.concatenate([p.probs for p in parts])
     return Distribution(counts, probs, float(probs.sum()))

@@ -148,6 +148,18 @@ def test_cmd_encode_config_unknown_key_exit_2(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"target_max_eig": 0.25', '["seed"]', "7"])
+def test_cmd_encode_malformed_config_exit_2(tmp_path, capsys, text):
+    gpath = tmp_path / "graph.json"
+    write_graph(gpath, triangle_graph())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["encode", str(gpath), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "cfg.json" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # sample command
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbs_toolkit.errors import ValidationError
 from gbs_toolkit.numerics import (
     hafnian,
+    hafnian_batch,
     hafnian_by_matchings,
     perfect_matchings,
     random_unitary,
@@ -189,3 +190,24 @@ def test_takagi_reconstruction_property(seed, dim):
     b = random_symmetric(dim, seed)
     u, lam = takagi(b)
     assert np.max(np.abs(u @ np.diag(lam) @ u.T - b)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=3))
+@example(seed=0, dim=3, n=0, npat=2)
+@example(seed=1, dim=4, n=5, npat=2)
+@example(seed=2, dim=3, n=10, npat=2)  # repeated modes on the power-trace side
+def test_hafnian_batch_matches_matching_oracle(seed, dim, n, npat):
+    # both sides of the n = 8 switch from matchings to power traces
+    m = random_symmetric(dim, seed)
+    rows = np.random.default_rng(seed).integers(0, dim, (npat, n))
+    got = hafnian_batch(m, rows)
+    assert got.shape == (npat,)
+    if n == 0:
+        assert np.all(got == 1.0)
+    if n % 2:
+        assert np.all(got == 0.0)
+    for h, r in zip(got, rows):
+        slow = hafnian_by_matchings(m[np.ix_(r, r)])
+        assert abs(h - slow) <= 1e-9 * max(1.0, abs(slow))

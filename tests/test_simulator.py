@@ -5,7 +5,8 @@ import pytest
 
 from gbs_toolkit.encoding import GbsProgram, WeightedGraph, choose_scale, encode, rescale
 from gbs_toolkit.errors import GuardError, ValidationError
-from gbs_toolkit.numerics import hafnian, random_unitary
+from gbs_toolkit import simulator
+from gbs_toolkit.numerics import hafnian, hafnian_by_matchings, random_unitary
 from gbs_toolkit.simulator import (
     CapturedMassWarning,
     Distribution,
@@ -16,6 +17,7 @@ from gbs_toolkit.simulator import (
     pattern_probability,
     prepare_state,
     sample,
+    truncated_distribution,
     tvd,
 )
 
@@ -196,6 +198,50 @@ def test_enumerate_guard_trips():
     s = prepare_state(prog)
     with pytest.raises(GuardError, match="guard"):
         enumerate_distribution(s, 7, collision_free=True)  # C(32,7) > 1e6
+
+
+def test_truncated_distribution_guards_before_enumerating(monkeypatch):
+    calls = []
+    real = simulator.enumerate_distribution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "enumerate_distribution", counting)
+    s = prepare_state(GbsProgram.from_squeezing([0.1] * 40, random_unitary(40, 4)))
+    with pytest.raises(GuardError, match="guard"):
+        truncated_distribution(s, 6, collision_free=True)  # C(40,6) > 1e6
+    assert calls == []
+
+
+def test_lossy_sector_matches_matching_oracle():
+    rng = np.random.default_rng(14)
+    upper = np.triu(rng.random((14, 14)) < 0.5, k=1)
+    g = WeightedGraph.from_edges(14, list(zip(*np.nonzero(upper))), rng.uniform(0.5, 1.5, 14))
+    prog = encode(rescale(g, choose_scale(g, alpha=0.1, target_max_eig=0.9)),
+                  loss=np.full(14, 0.8))
+    s = prepare_state(prog)
+    d = enumerate_distribution(s, 4, collision_free=True)
+    kernel = simulator._state_kernel(s)
+    assert len(d) == 1001
+    for counts, p in zip(d.pattern_counts, d.probs):
+        modes = np.nonzero(counts)[0]
+        idx = np.concatenate([modes, modes + 14])
+        oracle = hafnian_by_matchings(kernel.a[np.ix_(idx, idx)]).real / kernel.sqrt_det_q
+        assert abs(p - oracle) <= 1e-10 * oracle
+
+
+def test_lossy_probability_checks_guard_and_clamp():
+    kernel = simulator._state_kernel(single_mode_state(0.5, eta=0.7))
+    assert not kernel.pure
+    norm = kernel.sqrt_det_q
+    with pytest.raises(GuardError, match="imaginary residue"):
+        simulator._probabilities(kernel, np.array([0.1, 0.1 + 1e-3j]) * norm, 1.0, "t")
+    with pytest.raises(GuardError, match="negative probability"):
+        simulator._probabilities(kernel, np.array([0.1, -1e-6]) * norm, 1.0, "t")
+    p = simulator._probabilities(kernel, np.array([0.1, -1e-14 + 0j]) * norm, 1.0, "t")
+    assert p[0] == pytest.approx(0.1) and p[1] == 0.0
 
 
 def test_captured_mass_partial_sums_single_mode():
