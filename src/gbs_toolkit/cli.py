@@ -15,7 +15,6 @@ from __future__ import annotations
 import datetime
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import click
@@ -28,8 +27,8 @@ from .encoding import (MODE_ADJACENCY, MODE_LAPLACIAN, choose_scale, default_alp
                        encode, rescale)
 from .errors import GuardError, ValidationError
 from .mesh import LossModel, clements_decompose, compile_timebin_schedule, loss_budget
-from .rna import mcc, mcc_approx, predict
-from .simulator import CapturedMassWarning, draw, prepare_state, sample, truncated_distribution
+from .rna import gbs_clique_report, mcc, mcc_approx, predict
+from .simulator import draw, prepare_state, truncated_distribution
 from . import serialize
 from .serialize import atomic_write_text, sha256_file
 
@@ -70,8 +69,32 @@ class _Run:
                           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+DEFAULTS = {
+    "encode": {"alpha": None, "target_max_eig": 0.9, "mode": MODE_LAPLACIAN,
+               "loss_eta": 1.0, "emit_schedule": False, "seed": 0},
+    "sample": {"n_samples": 1000, "cutoff": 6, "min_photons": 0,
+               "collision_free": False, "seed": 0},
+    "clique": {"iterations": 30, "min_photons": 5, "seed": 0},
+    "dock": {"solve": False, "n_samples": 200, "cutoff": 6, "min_photons": 2,
+             "iterations": 30, "seed": 0},
+    "rnafold": {"exact": False, "min_stem": 3, "min_loop": 3, "n_samples": 300,
+                "iterations": 30, "seed": 0},
+}
+
+
+def _type_ok(value, default) -> bool:
+    """A config value needs its default's type; an int passes for a float (or
+    for a None default, which also takes null), a bool never for a number."""
+    if default is None:
+        return value is None or _type_ok(value, 0.0)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
 def _resolve_config(config_path, cli_values: dict, defaults: dict) -> dict:
-    """defaults < config file < explicit CLI flags; unknown config keys rejected."""
+    """defaults < config file < explicit CLI flags; unknown or mistyped config
+    values rejected."""
     resolved = dict(defaults)
     if config_path is not None:
         doc = serialize.load_json(Path(config_path))
@@ -80,6 +103,10 @@ def _resolve_config(config_path, cli_values: dict, defaults: dict) -> dict:
         unknown = set(doc) - set(defaults)
         if unknown:
             raise ValidationError(f"config {config_path}: unknown keys {sorted(unknown)}")
+        for key, value in doc.items():
+            if not _type_ok(value, defaults[key]):
+                raise ValidationError(f"config {config_path}: {key}={value!r} does not "
+                                      f"have the type of its default {defaults[key]!r}")
         resolved.update(doc)
     for key, value in cli_values.items():
         if value is not None:
@@ -106,11 +133,9 @@ def cli():
 def cmd_encode(graph_file, config_path, alpha, target_max_eig, mode, loss_eta,
                emit_schedule, seed, out_dir):
     """Compile a graph JSON file into a GBS program file."""
-    defaults = {"alpha": None, "target_max_eig": 0.9, "mode": MODE_LAPLACIAN,
-                "loss_eta": 1.0, "emit_schedule": False, "seed": 0}
     cfg = _resolve_config(config_path, {
         "alpha": alpha, "target_max_eig": target_max_eig, "mode": mode,
-        "loss_eta": loss_eta, "emit_schedule": emit_schedule, "seed": seed}, defaults)
+        "loss_eta": loss_eta, "emit_schedule": emit_schedule, "seed": seed}, DEFAULTS["encode"])
     g = serialize.load_graph(Path(graph_file))
     alpha_val = cfg["alpha"] if cfg["alpha"] is not None else default_alpha(g)
     params = choose_scale(g, alpha=alpha_val, target_max_eig=cfg["target_max_eig"],
@@ -143,11 +168,9 @@ def cmd_encode(graph_file, config_path, alpha, target_max_eig, mode, loss_eta,
 def cmd_sample(program_file, config_path, n_samples, cutoff, min_photons,
                collision_free, seed, out_dir):
     """Draw samples from a program file; write samples.jsonl + distribution.csv."""
-    defaults = {"n_samples": 1000, "cutoff": 6, "min_photons": 0,
-                "collision_free": False, "seed": 0}
     cfg = _resolve_config(config_path, {
         "n_samples": n_samples, "cutoff": cutoff, "min_photons": min_photons,
-        "collision_free": collision_free, "seed": seed}, defaults)
+        "collision_free": collision_free, "seed": seed}, DEFAULTS["sample"])
     program = serialize.load_program(Path(program_file))
     state = prepare_state(program)
     dist = truncated_distribution(state, cfg["cutoff"], cfg["collision_free"],
@@ -177,9 +200,8 @@ def cmd_sample(program_file, config_path, n_samples, cutoff, min_photons,
 def cmd_clique(graph_file, samples_file, config_path, iterations, min_photons,
                seed, out_dir):
     """Post-process samples into a clique report (GBS vs uniform baseline)."""
-    defaults = {"iterations": 30, "min_photons": 5, "seed": 0}
     cfg = _resolve_config(config_path, {
-        "iterations": iterations, "min_photons": min_photons, "seed": seed}, defaults)
+        "iterations": iterations, "min_photons": min_photons, "seed": seed}, DEFAULTS["clique"])
     g = serialize.load_graph(Path(graph_file))
     samples = serialize.load_samples(Path(samples_file))
     report = run_pipeline(g, samples, min_photons=cfg["min_photons"],
@@ -213,14 +235,12 @@ def cmd_clique(graph_file, samples_file, config_path, iterations, min_photons,
 def cmd_dock(points_file, config_path, params_file, solve, n_samples, cutoff,
              min_photons, iterations, seed, out_dir):
     """Build the binding interaction graph; optionally solve for the pose."""
-    defaults = {"solve": False, "n_samples": 200, "cutoff": 6, "min_photons": 2,
-                "iterations": 30, "seed": 0}
     cfg = _resolve_config(config_path, {
         "solve": solve, "n_samples": n_samples, "cutoff": cutoff,
-        "min_photons": min_photons, "iterations": iterations, "seed": seed}, defaults)
+        "min_photons": min_photons, "iterations": iterations, "seed": seed}, DEFAULTS["dock"])
     ligand, protein = serialize.load_pharmacophores(Path(points_file))
     params = DockingParams() if params_file is None else \
-        serialize.docking_params_from_json(Path(params_file).read_text())
+        serialize.docking_params_from_json(serialize.load_json(Path(params_file)))
     big = build_big(ligand, protein, params)
 
     run = _Run("dock", Path(out_dir), {**cfg, "points_file": str(points_file),
@@ -231,7 +251,9 @@ def cmd_dock(points_file, config_path, params_file, solve, n_samples, cutoff,
     run.write("big.json", serialize.graph_to_json(big.graph))
 
     if cfg["solve"]:
-        report = _solve_graph(big.graph, cfg)
+        report = gbs_clique_report(big.graph, seed=cfg["seed"], n_samples=cfg["n_samples"],
+                                   min_photons=cfg["min_photons"],
+                                   iterations=cfg["iterations"], max_photons=cfg["cutoff"])
         pose_clique = Clique.of(big.graph, report.best_clique())
         pose = interpret_pose(big, pose_clique)
         pose_doc = {
@@ -247,22 +269,6 @@ def cmd_dock(points_file, config_path, params_file, solve, n_samples, cutoff,
                    f"weight={pose_clique.weight:.4f}")
     run.finish()
     click.echo(f"BIG: {big.graph.node_count} nodes, {len(big.graph.edges)} edges")
-
-
-def _solve_graph(g, cfg):
-    """encode -> simulate -> collision-free sector samples -> clique pipeline."""
-    params = choose_scale(g, alpha=default_alpha(g), target_max_eig=0.9)
-    program = encode(rescale(g, params))
-    state = prepare_state(program)
-    max_total = min(cfg["cutoff"], g.node_count)
-    min_total = min(cfg["min_photons"], max_total)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CapturedMassWarning)
-        batch = sample(state, cfg["n_samples"], max_total_photons=max_total,
-                       seed=cfg["seed"], collision_free=True,
-                       min_total_photons=min_total)
-    return run_pipeline(g, batch.patterns, min_photons=cfg["min_photons"],
-                        iterations=cfg["iterations"], seed=cfg["seed"])
 
 
 @cli.command(name="rnafold")
@@ -281,11 +287,9 @@ def _solve_graph(g, cfg):
 def cmd_rnafold(fasta_file, config_path, reference_file, exact, min_stem, min_loop,
                 n_samples, iterations, seed, out_dir):
     """Predict RNA secondary structure from a FASTA file."""
-    defaults = {"exact": False, "min_stem": 3, "min_loop": 3, "n_samples": 300,
-                "iterations": 30, "seed": 0}
     cfg = _resolve_config(config_path, {
         "exact": exact, "min_stem": min_stem, "min_loop": min_loop,
-        "n_samples": n_samples, "iterations": iterations, "seed": seed}, defaults)
+        "n_samples": n_samples, "iterations": iterations, "seed": seed}, DEFAULTS["rnafold"])
     seq = serialize.load_fasta(Path(fasta_file))
     reference = None
     if reference_file is not None:

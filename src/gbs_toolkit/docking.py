@@ -10,6 +10,7 @@ contact sets, i.e. candidate docking poses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -50,6 +51,10 @@ class PharmacophorePoint:
         object.__setattr__(self, "kind", str(self.kind).upper())
 
 
+def _non_negative(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x >= 0
+
+
 @dataclass(frozen=True)
 class DockingParams:
     """Flexibility constant tau and per-class interaction distances, in Angstrom.
@@ -66,15 +71,15 @@ class DockingParams:
     weight_table: dict | None = None
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValidationError("tau must be >= 0")
+        if not _non_negative(self.tau):
+            raise ValidationError(f"tau must be a number >= 0, got {self.tau!r}")
         for key, eps in self.epsilon_table.items():
-            if eps < 0:
-                raise ValidationError(f"epsilon for class {key!r} must be >= 0")
+            if not _non_negative(eps):
+                raise ValidationError(f"epsilon for class {key!r} must be a number >= 0")
         if self.weight_table is not None:
             for pair, w in self.weight_table.items():
-                if w < 0:
-                    raise ValidationError(f"weight for {pair!r} must be >= 0")
+                if not _non_negative(w):
+                    raise ValidationError(f"weight for {pair!r} must be a number >= 0")
 
     def epsilon_for(self, *kinds: str) -> float:
         cls = EPSILON_HBOND if all(k in _HBOND_KINDS for k in kinds) else EPSILON_MIXED

@@ -148,20 +148,22 @@ def predict(seq: RnaSequence, min_stem_len: int = 3, min_loop: int = 3,
         # no photons; the fold is the single heaviest stem either way
         best = max_weight_clique(g)
     else:
-        report = gbs_fold_report(g, seed=seed, n_samples=n_samples,
-                                 min_photons=min_photons, iterations=iterations,
-                                 target_max_eig=target_max_eig)
+        report = gbs_clique_report(g, seed=seed, n_samples=n_samples,
+                                   min_photons=min_photons, iterations=iterations,
+                                   target_max_eig=target_max_eig)
         best = Clique.of(g, report.best_clique())
     return FoldPrediction.from_stems(stems[n] for n in best.nodes)
 
 
-def gbs_fold_report(g: WeightedGraph, seed: int, n_samples: int, min_photons: int,
-                    iterations: int, target_max_eig: float = 0.9) -> CliqueReport:
-    """Encode a WFSG, sample collision-free events, run the clique pipeline."""
+def gbs_clique_report(g: WeightedGraph, seed: int, n_samples: int, min_photons: int,
+                      iterations: int, target_max_eig: float = 0.9,
+                      max_photons: int = 6) -> CliqueReport:
+    """Encode a graph (a WFSG or a BIG), sample collision-free events of at most
+    ``max_photons`` photons, run the clique pipeline."""
     params = choose_scale(g, alpha=default_alpha(g), target_max_eig=target_max_eig)
     program = encode(rescale(g, params))
     state = prepare_state(program)
-    max_total = min(g.node_count, 6)
+    max_total = min(g.node_count, max_photons)
     min_total = min(min_photons, max_total)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapturedMassWarning)

@@ -3,7 +3,7 @@
 Every random choice in the toolkit flows from a single seed through
 ``spawn_rng(seed, stream, counter)``.  ``stream`` identifies the consuming
 subsystem (constants below) and ``counter`` separates repeated uses inside
-one subsystem (e.g. one local search per sample).  The derivation is
+one subsystem.  The derivation is
 ``numpy.random.SeedSequence(seed, spawn_key=(stream, counter))``, so runs
 with identical (seed, stream, counter) reproduce identical draws.
 """

@@ -219,14 +219,16 @@ def load_pharmacophores(path: Path):
 
 def docking_params_from_json(text: str) -> DockingParams:
     doc = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise ValidationError("docking params: expected a JSON object")
     kwargs = {}
     if "tau" in doc:
-        kwargs["tau"] = float(doc["tau"])
+        kwargs["tau"] = doc["tau"]
     if "epsilon_table" in doc:
-        kwargs["epsilon_table"] = {str(k): float(v) for k, v in doc["epsilon_table"].items()}
+        kwargs["epsilon_table"] = {str(k): v for k, v in doc["epsilon_table"].items()}
     if "weight_table" in doc:
         kwargs["weight_table"] = {
-            (str(lk), str(pk)): float(w)
+            (str(lk), str(pk)): w
             for lk, pk, w in (tuple(entry) for entry in doc["weight_table"])
         }
     known = {"tau", "epsilon_table", "weight_table"}

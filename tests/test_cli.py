@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbs_toolkit.cli import main
+from gbs_toolkit.cli import DEFAULTS, main
 from gbs_toolkit.encoding import GbsProgram, WeightedGraph
 from gbs_toolkit.numerics import random_unitary
 from gbs_toolkit import serialize
@@ -160,6 +160,45 @@ def test_cmd_encode_malformed_config_exit_2(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
+POSITIONAL_FILES = {"encode": 1, "sample": 1, "clique": 2, "dock": 1, "rnafold": 1}
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c, d in DEFAULTS.items() for k in d])
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, command, key):
+    # config values are checked before any input is read, so any files will do
+    inputs = []
+    for k in range(POSITIONAL_FILES[command]):
+        inputs.append(tmp_path / f"input{k}")
+        inputs[-1].write_text("{}")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 7 if isinstance(DEFAULTS[command][key], str) else "six"}))
+    assert main([command, *map(str, inputs), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc,code", [({"cutoff": True}, 2), ({"cutoff": 4.0}, 2),
+                                      ({"collision_free": 1, "cutoff": 3}, 2),
+                                      ({"collision_free": True, "cutoff": 3}, 0)])
+def test_cmd_sample_config_int_and_bool_are_distinct(tmp_path, doc, code):
+    ppath = encoded_program_file(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": 5, **doc}))
+    assert main(["sample", str(ppath), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == code
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
+def test_cmd_encode_config_int_for_float_and_null_alpha(tmp_path):
+    gpath = tmp_path / "graph.json"
+    write_graph(gpath, triangle_graph())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss_eta": 1, "alpha": None}))
+    assert main(["encode", str(gpath), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # sample command
 
@@ -255,6 +294,17 @@ def test_cmd_clique_empty_report_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cmd_clique_negative_iterations_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "graph.json"
+    write_graph(gpath, triangle_graph())
+    spath = tmp_path / "samples.jsonl"
+    spath.write_text('{"counts": [1, 1, 0]}\n')
+    assert main(["clique", str(gpath), str(spath), "--min-photons", "1",
+                 "--iterations", "-3", "--out", str(tmp_path / "o")]) == 2
+    assert "iterations" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # dock command
 
@@ -302,6 +352,23 @@ def test_cmd_dock_missing_weight_entry_exit_2(tmp_path, capsys):
     assert main(["dock", str(points), "--params", str(params),
                  "--out", str(tmp_path / "o")]) == 2
     assert "missing pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"tau": 0.5', "not valid JSON"),
+    ('{"tau": "wide"}', "tau"),
+    ('{"epsilon_table": {"hbond": "0.1", "mixed": 0.3}}', "epsilon"),
+    ('{"weight_table": [["HA", "HD", null]]}', "weight"),
+    ('["tau"]', "JSON object"),
+])
+def test_cmd_dock_malformed_params_exit_2(tmp_path, capsys, text, message):
+    points = docking_points_file(tmp_path)
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    assert main(["dock", str(points), "--params", str(params),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

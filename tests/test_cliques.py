@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbs_toolkit import cliques
 from gbs_toolkit.cliques import (
     Clique,
     bron_kerbosch,
@@ -14,9 +15,12 @@ from gbs_toolkit.cliques import (
     max_weight_clique,
     pattern_to_subgraph,
     run_pipeline,
+    search_batch,
+    shrink_batch,
 )
 from gbs_toolkit.encoding import WeightedGraph
 from gbs_toolkit.errors import GuardError, ValidationError
+from gbs_toolkit.seeding import STREAM_LOCAL_SEARCH, spawn_rng
 from gbs_toolkit.simulator import PhotonPattern
 
 
@@ -97,6 +101,12 @@ def test_local_search_completes_triangle():
     g = triangle()
     out = local_search(g, Clique.of(g, (0, 1)), iterations=5, seed=0)
     assert out.nodes == (0, 1, 2)
+
+
+def test_local_search_add_prefers_weight_then_index():
+    for weights, want in (([1.0, 1.0, 1.0], (0, 2)), ([1.0, 2.0, 1.0], (0, 1))):
+        g = graph_from_pairs(3, [(0, 1), (0, 2)], weights)
+        assert local_search(g, Clique.of(g, (0,)), iterations=1, seed=0).nodes == want
 
 
 def test_local_search_zero_iterations_returns_input():
@@ -277,3 +287,135 @@ def test_property_local_search_monotone(seed, iterations):
     out = local_search(g, start, iterations=iterations, seed=seed)
     assert out.weight >= start.weight - 1e-12
     assert independent_is_clique(g, out.nodes)
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against per-row references
+
+
+def reference_shrink(g, nodes):
+    """The shrink rule one row at a time, on neighbour sets."""
+    current = sorted(set(int(n) for n in nodes))
+    while not independent_is_clique(g, current):
+        members = set(current)
+        degree = {n: len(g.neighbors(n) & members) for n in current}
+        current.remove(min(current, key=lambda n: (degree[n], g.weights[n], n)))
+    return tuple(current)
+
+
+def reference_best_swap(g, members):
+    """Best (v, a, b) swap by the documented rule, scanning v, then a < b."""
+    best, best_gain = None, 1e-15
+    for v in sorted(members):
+        rest = members - {v}
+        cand = [u for u in range(g.node_count) if u not in members
+                and all(g.has_edge(u, m) for m in rest)]
+        for a, b in combinations(cand, 2):
+            gain = g.weights[a] + g.weights[b] - g.weights[v]
+            if g.has_edge(a, b) and gain > best_gain:
+                best, best_gain = (v, a, b), gain
+    return best
+
+
+def rows_of(n, node_sets):
+    rows = np.zeros((len(node_sets), n), dtype=bool)
+    for k, nodes in enumerate(node_sets):
+        rows[k, list(nodes)] = True
+    return rows
+
+
+def integer_weight_graph(n, p, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return graph_from_pairs(n, pairs, rng.integers(1, 4, n).astype(float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_property_shrink_batch_matches_reference(seed, integer_weights):
+    n = 11
+    g = (integer_weight_graph if integer_weights else random_graph)(n, 0.5, seed)
+    rng = np.random.default_rng(seed)
+    node_sets = [np.flatnonzero(rng.random(n) < rng.random()) for _ in range(12)]
+    node_sets += [(), bron_kerbosch(g)[0].nodes, (int(rng.integers(n)),)]
+    out = shrink_batch(g, rows_of(n, node_sets))
+    for row, nodes in zip(out, node_sets):
+        assert tuple(np.flatnonzero(row)) == reference_shrink(g, nodes)
+        assert greedy_shrink(g, nodes).nodes == reference_shrink(g, nodes)
+
+
+def test_swap_step_matches_reference_with_ties():
+    for seed in range(30):
+        g = integer_weight_graph(9, 0.6, seed) if seed % 2 else random_graph(9, 0.6, seed)
+        maximal = [set(c.nodes) for c in bron_kerbosch(g)]
+        rows = rows_of(9, maximal)
+        adj = rows_of(9, [g.neighbors(u) for u in range(9)]).astype(float)
+        found = cliques._swap(adj, g.weights, rows, np.arange(len(rows)), rows @ adj)
+        for row, hit, members in zip(rows, found, maximal):
+            swap = reference_best_swap(g, members)
+            assert hit == (swap is not None)
+            want = members if swap is None else members - {swap[0]} | set(swap[1:])
+            assert set(np.flatnonzero(row)) == want
+
+
+def test_swap_tie_goes_to_smallest_dropped_node():
+    # from the maximal {0, 1}, dropping 1 for (2, 3) and dropping 0 for (4, 5)
+    # gain the same; the tie goes to the smaller dropped node, 0
+    g = graph_from_pairs(6, [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
+    assert local_search(g, Clique.of(g, (0, 1)), iterations=1, seed=0).nodes == (1, 4, 5)
+
+
+def test_search_batch_rows_are_cliques_monotone_and_seeded():
+    for seed in range(6):
+        g = random_graph(16, 0.45, seed)
+        rng = np.random.default_rng(seed)
+        starts = shrink_batch(g, rng.random((40, 16)) < 0.4)
+        out = search_batch(g, starts, 20, spawn_rng(seed, STREAM_LOCAL_SEARCH))
+        again = search_batch(g, starts, 20, spawn_rng(seed, STREAM_LOCAL_SEARCH))
+        assert np.array_equal(out, again)
+        for row, start in zip(out, starts):
+            assert independent_is_clique(g, np.flatnonzero(row))
+            assert g.weights[row].sum() >= g.weights[start].sum() - 1e-12
+
+
+def test_search_batch_rejects_non_clique_rows():
+    g = graph_from_pairs(3, [(0, 1)])
+    with pytest.raises(ValidationError, match="cliques"):
+        search_batch(g, rows_of(3, [(0, 2)]), 1, np.random.default_rng(0))
+
+
+def test_zero_weight_edge_is_an_edge():
+    # the (1, 2) edge has weight 0 in the adjacency matrix but is still an edge
+    g = WeightedGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)], edge_weights=[1.0, 1.0, 0.0])
+    assert greedy_shrink(g, (0, 1, 2)).nodes == (0, 1, 2)
+    assert local_search(g, Clique.of(g, (1, 2)), iterations=3, seed=0).nodes == (0, 1, 2)
+    samples = [as_pattern({1, 2}, 3)] * 4
+    report = run_pipeline(g, samples, min_photons=1, iterations=3, seed=0)
+    assert report.frequency((0, 1, 2), "gbs") == pytest.approx(1.0)
+
+
+def test_negative_iterations_rejected():
+    g = planted_graph()
+    with pytest.raises(ValidationError, match="iterations"):
+        local_search(g, Clique.of(g, (0, 1)), iterations=-1, seed=0)
+    with pytest.raises(ValidationError, match="iterations"):
+        run_pipeline(g, [as_pattern({0, 1, 2}, 6)], min_photons=1, iterations=-3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# exact oracles against networkx
+
+
+def test_exact_oracles_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        g = integer_weight_graph(n, rng.uniform(0.2, 0.8), seed)
+        h = nx.Graph()
+        h.add_nodes_from((i, {"weight": int(w)}) for i, w in enumerate(g.weights))
+        h.add_edges_from(g.edges)
+        want = {tuple(sorted(c)) for c in nx.find_cliques(h)}
+        assert {c.nodes for c in bron_kerbosch(g)} == want
+        _, weight = nx.max_weight_clique(h, weight="weight")
+        assert max_weight_clique(g).weight == weight
