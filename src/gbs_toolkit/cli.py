@@ -26,7 +26,7 @@ from .docking import DockingParams, build_big, interpret_pose
 from .encoding import (MODE_ADJACENCY, MODE_LAPLACIAN, choose_scale, default_alpha,
                        encode, rescale)
 from .errors import GuardError, ValidationError
-from .mesh import LossModel, clements_decompose, compile_timebin_schedule, loss_budget
+from .mesh import clements_decompose, compile_timebin_schedule, loss_budget
 from .rna import gbs_clique_report, mcc, mcc_approx, predict
 from .simulator import draw, prepare_state, truncated_distribution
 from . import serialize
@@ -71,7 +71,7 @@ class _Run:
 
 DEFAULTS = {
     "encode": {"alpha": None, "target_max_eig": 0.9, "mode": MODE_LAPLACIAN,
-               "loss_eta": 1.0, "emit_schedule": False, "seed": 0},
+               "loss_eta": 1.0, "emit_schedule": False},
     "sample": {"n_samples": 1000, "cutoff": 6, "min_photons": 0,
                "collision_free": False, "seed": 0},
     "clique": {"iterations": 30, "min_photons": 5, "seed": 0},
@@ -128,14 +128,13 @@ def cli():
 @click.option("--loss-eta", type=float, default=None, help="Uniform per-mode transmission.")
 @click.option("--schedule/--no-schedule", "emit_schedule", default=None,
               help="Also emit the Clements mesh time-bin schedule.")
-@click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
 def cmd_encode(graph_file, config_path, alpha, target_max_eig, mode, loss_eta,
-               emit_schedule, seed, out_dir):
+               emit_schedule, out_dir):
     """Compile a graph JSON file into a GBS program file."""
     cfg = _resolve_config(config_path, {
         "alpha": alpha, "target_max_eig": target_max_eig, "mode": mode,
-        "loss_eta": loss_eta, "emit_schedule": emit_schedule, "seed": seed}, DEFAULTS["encode"])
+        "loss_eta": loss_eta, "emit_schedule": emit_schedule}, DEFAULTS["encode"])
     g = serialize.load_graph(Path(graph_file))
     alpha_val = cfg["alpha"] if cfg["alpha"] is not None else default_alpha(g)
     params = choose_scale(g, alpha=alpha_val, target_max_eig=cfg["target_max_eig"],
@@ -293,7 +292,7 @@ def cmd_rnafold(fasta_file, config_path, reference_file, exact, min_stem, min_lo
     seq = serialize.load_fasta(Path(fasta_file))
     reference = None
     if reference_file is not None:
-        ref_text = Path(reference_file).read_text().strip()
+        ref_text = serialize.read_text(Path(reference_file)).strip()
         if serialize.dotbracket_length(ref_text) != len(seq):
             raise ValidationError(
                 f"reference length {serialize.dotbracket_length(ref_text)} does not "
@@ -329,14 +328,10 @@ def cmd_rnafold(fasta_file, config_path, reference_file, exact, min_stem, min_lo
 @click.option("--loops", type=int, required=True)
 def cmd_lossbudget(stages_file, loops):
     """Print the total transmission and per-stage contributions."""
-    doc = json.loads(Path(stages_file).read_text())
-    stages = tuple((str(s["label"]), float(s["transmission"]))
-                   for s in doc.get("stages", []))
-    model = LossModel(stages=stages,
-                      per_loop_transmission=float(doc.get("per_loop_transmission", 1.0)))
+    model = serialize.load_loss_model(Path(stages_file))
     total = loss_budget(model, loops)
     click.echo(f"per-loop transmission^{loops}: {model.per_loop_transmission ** loops:.6g}")
-    for label, t in stages:
+    for label, t in model.stages:
         click.echo(f"stage {label}: {t:.6g}")
     click.echo(f"total transmission: {total:.6g} ({100 * total:.4g}%)")
 

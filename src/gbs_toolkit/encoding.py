@@ -141,7 +141,7 @@ class GbsProgram:
             raise ValidationError("unitary dimension must equal mode_count")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise ValidationError("squeezing parameters must be finite and >= 0")
-        if np.any(eta < 0) or np.any(eta > 1):
+        if not np.all((eta >= 0) & (eta <= 1)):
             raise ValidationError("loss transmissions must lie in [0, 1]")
         object.__setattr__(self, "squeezing", r)
         object.__setattr__(self, "loss", eta)

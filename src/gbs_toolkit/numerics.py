@@ -4,7 +4,9 @@ Conventions fixed here once:
 
 * A "symmetric matrix" is complex square with ``M == M.T`` (not Hermitian).
 * ``takagi`` factors a symmetric B as ``U @ diag(lam) @ U.T`` with U unitary
-  and ``lam >= 0`` sorted descending, ties kept in original order.
+  and ``lam >= 0`` sorted descending, ties kept in original order.  Complex
+  B goes through ``eigh`` of its real embedding ``[[Re B, Im B], [Im B, -Re B]]``
+  plus one QR, so numpy is the only linear-algebra dependency.
 * ``hafnian_batch`` is the one hafnian kernel: it evaluates the hafnians of
   many index-selected submatrices of one matrix at once, by summing perfect
   matchings for small n and by the inclusion-exclusion power-trace method,
@@ -19,7 +21,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag, sqrtm
 
 from .errors import ValidationError
 from .seeding import STREAM_UNITARY, spawn_rng
@@ -66,8 +67,12 @@ def takagi(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Real input takes the cheap eigendecomposition route: columns belonging to
     negative eigenvalues are rotated by 1j, which flips the sign under the
-    transpose (not conjugate-transpose) product.  Complex input goes through
-    the SVD with a block square root over degenerate singular subspaces.
+    transpose (not conjugate-transpose) product.  Complex input takes ``eigh``
+    of the real symmetric embedding ``[[Re B, Im B], [Im B, -Re B]]``: each of
+    its n largest eigenpairs ``(lam, [x; y])`` gives ``B conj(z) = lam z`` for
+    ``z = x + iy``.  One QR of ``[z_kept, I]``, with R's diagonal phases put
+    back, orthonormalizes the kept z and completes the columns of values below
+    ``LAMBDA_CLAMP`` (the null space), so U stays unitary on rank-deficient input.
 
     Returns:
         (u, lam): unitary u and non-negative values sorted descending,
@@ -84,31 +89,18 @@ def takagi(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = eigvecs.astype(complex) * phases[np.newaxis, :]
         lam = np.abs(eigvals)
     else:
-        v, s, wh = np.linalg.svd(b)
-        w = wh.conj().T
-        blocks = _degenerate_blocks(s)
-        qs = []
-        for start, stop in blocks:
-            qs.append(sqrtm(v[:, start:stop].T @ w[:, start:stop]))
-        u = v @ np.conj(block_diag(*qs))
-        lam = s.copy()
+        eigvals, eigvecs = np.linalg.eigh(np.block([[b.real, b.imag], [b.imag, -b.real]]))
+        top = slice(None, n - 1, -1)  # the n largest eigenpairs, descending
+        lam = eigvals[top]
+        z = eigvecs[:n, top] + 1j * eigvecs[n:, top]
+        kept = int(np.count_nonzero(lam >= LAMBDA_CLAMP))
+        u, r = np.linalg.qr(np.hstack([z[:, :kept], np.eye(n)]))
+        d = np.diagonal(r)[:kept]
+        u[:, :kept] *= d / np.abs(d)
 
     lam[lam < LAMBDA_CLAMP] = 0.0
     order = np.argsort(-lam, kind="stable")
     return u[:, order], lam[order]
-
-
-def _degenerate_blocks(s: np.ndarray, rtol: float = 1e-8) -> list[tuple[int, int]]:
-    """Group consecutive singular values that are equal within tolerance."""
-    tol = rtol * max(1.0, float(s[0]) if s.size else 1.0)
-    blocks = []
-    start = 0
-    for i in range(1, len(s)):
-        if s[start] - s[i] > tol:
-            blocks.append((start, i))
-            start = i
-    blocks.append((start, len(s)))
-    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ reports, pharmacophores, FASTA/dot-bracket, plus digest and atomic-write
 helpers used by the CLI manifest.
 
 Complex numbers serialize as [re, im] pairs; a unitary is stored row-major
-as a flat list of such pairs.  All writes go through ``atomic_write_text``
-so a failed run never leaves a partial artifact behind.
+as a flat list of such pairs.  Every file is read through ``read_text`` and
+every field through ``_require``, so undecodable bytes, missing fields and
+fields of the wrong type all raise ``ValidationError``.  All writes go
+through ``atomic_write_text`` so a failed run never leaves a partial
+artifact behind.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .cliques import CliqueReport
 from .docking import DockingParams, PharmacophorePoint
 from .encoding import GbsProgram, WeightedGraph
 from .errors import ValidationError
-from .mesh import TimeBinSchedule
+from .mesh import LossModel, TimeBinSchedule
 from .rna import FoldPrediction, RnaSequence
 from .simulator import Distribution, PhotonPattern
 
@@ -38,17 +41,48 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_json(path: Path) -> dict:
+def read_text(path: Path) -> str:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def load_json(path: Path):
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _require(doc: dict, key: str, where: str):
+_NUMBER = (int, float)
+_MISSING = object()
+
+
+def _require(doc, key: str, where: str, kind=object, default=_MISSING):
+    """``doc[key]``, which must be an instance of ``kind``; an absent key is an
+    error unless a ``default`` is given."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {doc!r}")
     if key not in doc:
-        raise ValidationError(f"{where}: missing required field {key!r}")
+        if default is _MISSING:
+            raise ValidationError(f"{where}: missing required field {key!r}")
+        return default
+    if not isinstance(doc[key], kind):
+        raise ValidationError(f"{where}: field {key!r} has the wrong type "
+                              f"({type(doc[key]).__name__})")
     return doc[key]
+
+
+def _array(values: list, where: str, dtype=float, ndim: int = 1) -> np.ndarray:
+    """A JSON list as an ``ndim``-dimensional numeric array."""
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ValidationError(f"{where}: expected a {ndim}-d array of numbers, got {values!r}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +101,24 @@ def graph_to_json(g: WeightedGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def graph_from_json(text: str, where: str = "graph") -> WeightedGraph:
-    doc = json.loads(text) if isinstance(text, str) else text
-    nodes = _require(doc, "nodes", where)
-    edges_raw = _require(doc, "edges", where)
-    ids = [int(_require(n, "id", f"{where}.nodes")) for n in nodes]
+def graph_from_json(doc: dict, where: str = "graph") -> WeightedGraph:
+    nodes = _require(doc, "nodes", where, list)
+    edges_raw = _require(doc, "edges", where, list)
+    ids = [_require(n, "id", f"{where}.nodes", int) for n in nodes]
     if sorted(ids) != list(range(len(ids))):
         raise ValidationError(f"{where}: node ids must be dense from 0")
     weights = np.zeros(len(ids))
     for n in nodes:
-        weights[int(n["id"])] = float(n.get("weight", 1.0))
+        weights[int(n["id"])] = float(_require(n, "weight", f"{where}.nodes", _NUMBER, 1.0))
     edges, edge_weights = [], []
     for e in edges_raw:
-        if len(e) not in (2, 3):
+        if not (isinstance(e, list) and len(e) in (2, 3)
+                and all(isinstance(x, _NUMBER) for x in e)):
             raise ValidationError(f"{where}: edge {e} must be [i, j] or [i, j, w]")
         edges.append((int(e[0]), int(e[1])))
         edge_weights.append(float(e[2]) if len(e) == 3 else 1.0)
     ew = None if all(w == 1.0 for w in edge_weights) else edge_weights
-    labels = doc.get("labels")
+    labels = _require(doc, "labels", where, list, None)
     return WeightedGraph.from_edges(len(ids), edges, weights, ew, labels)
 
 
@@ -107,15 +141,14 @@ def program_to_json(p: GbsProgram) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def program_from_json(text: str, where: str = "program") -> GbsProgram:
-    doc = json.loads(text) if isinstance(text, str) else text
-    m = int(_require(doc, "mode_count", where))
-    r = np.asarray(_require(doc, "r", where), dtype=float)
-    flat = _require(doc, "U", where)
-    if len(flat) != m * m:
+def program_from_json(doc: dict, where: str = "program") -> GbsProgram:
+    m = _require(doc, "mode_count", where, int)
+    r = _array(_require(doc, "r", where, list), f"{where}.r")
+    flat = _array(_require(doc, "U", where, list), f"{where}.U", ndim=2)
+    if m < 0 or flat.shape != (m * m, 2):
         raise ValidationError(f"{where}: U must hold {m * m} row-major [re, im] pairs")
-    u = np.array([complex(re, im) for re, im in flat]).reshape(m, m)
-    loss = np.asarray(doc.get("loss", np.ones(m)), dtype=float)
+    u = flat.view(complex).reshape(m, m)
+    loss = _array(_require(doc, "loss", where, list, [1.0] * m), f"{where}.loss")
     return GbsProgram(m, r, u, loss)
 
 
@@ -131,7 +164,7 @@ def samples_to_jsonl(patterns) -> str:
     return "".join(json.dumps({"counts": list(p.counts)}) + "\n" for p in patterns)
 
 
-def samples_from_jsonl(text: str) -> list[PhotonPattern]:
+def samples_from_jsonl(text: str, where: str = "samples") -> list[PhotonPattern]:
     out = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -139,13 +172,15 @@ def samples_from_jsonl(text: str) -> list[PhotonPattern]:
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"samples line {line_no}: not valid JSON ({exc})") from exc
-        out.append(PhotonPattern(tuple(int(c) for c in _require(doc, "counts", "sample"))))
+            raise ValidationError(f"{where} line {line_no}: not valid JSON ({exc})") from exc
+        line_where = f"{where} line {line_no}"
+        counts = _array(_require(doc, "counts", line_where, list), line_where, dtype=int)
+        out.append(PhotonPattern(tuple(counts.tolist())))
     return out
 
 
 def load_samples(path: Path) -> list[PhotonPattern]:
-    return samples_from_jsonl(Path(path).read_text())
+    return samples_from_jsonl(read_text(path), where=str(path))
 
 
 def distribution_to_csv(d: Distribution) -> str:
@@ -198,15 +233,15 @@ def report_to_csv(report: CliqueReport) -> str:
 # pharmacophores
 
 
-def pharmacophores_from_json(text: str, where: str = "points"):
-    doc = json.loads(text) if isinstance(text, str) else text
+def pharmacophores_from_json(doc: dict, where: str = "points"):
     out = {}
     for side in ("ligand", "protein"):
-        pts = _require(doc, side, where)
+        pts = _require(doc, side, where, list)
         out[side] = [
             PharmacophorePoint(str(_require(p, "id", f"{where}.{side}")),
                                str(_require(p, "kind", f"{where}.{side}")),
-                               np.asarray(_require(p, "xyz", f"{where}.{side}"), float),
+                               _array(_require(p, "xyz", f"{where}.{side}", list),
+                                      f"{where}.{side}"),
                                side)
             for p in pts
         ]
@@ -217,25 +252,32 @@ def load_pharmacophores(path: Path):
     return pharmacophores_from_json(load_json(path), where=str(path))
 
 
-def docking_params_from_json(text: str) -> DockingParams:
-    doc = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ValidationError("docking params: expected a JSON object")
-    kwargs = {}
-    if "tau" in doc:
-        kwargs["tau"] = doc["tau"]
-    if "epsilon_table" in doc:
-        kwargs["epsilon_table"] = {str(k): v for k, v in doc["epsilon_table"].items()}
-    if "weight_table" in doc:
-        kwargs["weight_table"] = {
-            (str(lk), str(pk)): w
-            for lk, pk, w in (tuple(entry) for entry in doc["weight_table"])
-        }
-    known = {"tau", "epsilon_table", "weight_table"}
-    unknown = set(doc) - known
+def docking_params_from_json(doc: dict) -> DockingParams:
+    where, default = "docking params", DockingParams()
+    tau = _require(doc, "tau", where, object, default.tau)
+    epsilon = _require(doc, "epsilon_table", where, dict, default.epsilon_table)
+    entries = _require(doc, "weight_table", where, list, [])
+    unknown = set(doc) - {"tau", "epsilon_table", "weight_table"}
     if unknown:
-        raise ValidationError(f"docking params: unknown keys {sorted(unknown)}")
-    return DockingParams(**kwargs)
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    if not all(isinstance(e, list) and len(e) == 3 for e in entries):
+        raise ValidationError(f"{where}: each weight_table entry must be "
+                              f"[ligand kind, protein kind, weight]")
+    weights = {(str(lk), str(pk)): w for lk, pk, w in entries} if "weight_table" in doc else None
+    return DockingParams(tau, {str(k): v for k, v in epsilon.items()}, weights)
+
+
+# ---------------------------------------------------------------------------
+# loss budgets
+
+
+def load_loss_model(path: Path) -> LossModel:
+    doc = load_json(path)
+    stages = tuple((str(_require(s, "label", f"{path}.stages")),
+                    float(_require(s, "transmission", f"{path}.stages", _NUMBER)))
+                   for s in _require(doc, "stages", str(path), list, []))
+    return LossModel(stages, float(_require(doc, "per_loop_transmission", str(path),
+                                            _NUMBER, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +305,7 @@ def read_fasta(text: str) -> RnaSequence:
 
 
 def load_fasta(path: Path) -> RnaSequence:
-    return read_fasta(Path(path).read_text())
+    return read_fasta(read_text(path))
 
 
 _BRACKETS = {"(": ")", "[": "]", "{": "}", "<": ">"}

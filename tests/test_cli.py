@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from gbs_toolkit.cli import DEFAULTS, main
 from gbs_toolkit.encoding import GbsProgram, WeightedGraph
 from gbs_toolkit.numerics import random_unitary
 from gbs_toolkit import serialize
+import gbs_toolkit
 
 
 def write_graph(path: Path, g: WeightedGraph):
@@ -359,6 +363,8 @@ def test_cmd_dock_missing_weight_entry_exit_2(tmp_path, capsys):
     ('{"tau": "wide"}', "tau"),
     ('{"epsilon_table": {"hbond": "0.1", "mixed": 0.3}}', "epsilon"),
     ('{"weight_table": [["HA", "HD", null]]}', "weight"),
+    ('{"weight_table": [["HA", "HD"]]}', "weight_table"),
+    ('{"epsilon_table": 3}', "epsilon_table"),
     ('["tau"]', "JSON object"),
 ])
 def test_cmd_dock_malformed_params_exit_2(tmp_path, capsys, text, message):
@@ -445,3 +451,94 @@ def test_cmd_lossbudget_trivial(tmp_path, capsys):
     stages.write_text(json.dumps({"per_loop_transmission": 1.0, "stages": []}))
     assert main(["lossbudget", str(stages), "--loops", "0"]) == 0
     assert "total transmission: 1" in capsys.readouterr().out
+
+
+def test_cmd_lossbudget_prints_each_stage(tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps({"stages": [{"label": "filter", "transmission": 1}]}))
+    assert main(["lossbudget", str(stages), "--loops", "2"]) == 0
+    assert "stage filter: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    '[{"label": "filter", "transmission": 0.9}]',
+    '{"stages": [{"label": "filter", "transmission": 0.9}',
+    '{"stages": [{"transmission": 0.9}]}',
+    '{"stages": [{"label": "filter"}]}',
+    '{"stages": [{"label": "filter", "transmission": "high"}]}',
+], ids=["list", "truncated", "no-label", "no-transmission", "string-transmission"])
+def test_cmd_lossbudget_malformed_stages_exit_2(tmp_path, capsys, text):
+    stages = tmp_path / "stages.json"
+    stages.write_text(text)
+    assert main(["lossbudget", str(stages), "--loops", "3"]) == 2
+    assert "stages.json" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: exit 2, no traceback, no artifact
+
+
+def input_files(tmp_path):
+    files = {"graph": tmp_path / "graph.json", "samples": tmp_path / "samples.jsonl",
+             "config": tmp_path / "cfg.json", "points": docking_points_file(tmp_path),
+             "fasta": tmp_path / "seq.fa", "reference": tmp_path / "ref.db",
+             "program": encoded_program_file(tmp_path)}
+    write_graph(files["graph"], triangle_graph())
+    files["samples"].write_text('{"counts": [1, 1, 0]}\n')
+    files["config"].write_text("{}")
+    files["fasta"].write_text(">hairpin\nGGGAAACCC\n")
+    files["reference"].write_text("(((...)))\n")
+    return files
+
+
+def command_reading(name, files):
+    """A CLI command that reads the file ``name`` among its inputs."""
+    f = {k: str(v) for k, v in files.items()}
+    return {
+        "graph": ["encode", f["graph"]],
+        "config": ["encode", f["graph"], "--config", f["config"]],
+        "samples": ["clique", f["graph"], f["samples"], "--min-photons", "1"],
+        "points": ["dock", f["points"]],
+        "program": ["sample", f["program"], "--n", "5"],
+        "fasta": ["rnafold", f["fasta"], "--exact"],
+        "reference": ["rnafold", f["fasta"], "--exact", "--reference", f["reference"]],
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["config", "graph", "samples", "fasta", "reference"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, name):
+    files = input_files(tmp_path)
+    files[name].write_bytes(b'{"\xff\xfe": 1}\n')
+    assert main([*command_reading(name, files), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and files[name].name in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("samples", "5\n", "line 1"),
+    ("samples", '{"counts": 5}\n', "counts"),
+    ("samples", '{"counts": ["a", 1, 0]}\n', "array of numbers"),
+    ("graph", '{"nodes": 3, "edges": []}', "nodes"),
+    ("graph", '{"nodes": [5], "edges": []}', "nodes"),
+    ("points", '{"ligand": 3, "protein": []}', "ligand"),
+    ("program", '{"mode_count": 1, "r": [0.1], "U": [5]}', "U"),
+], ids=["sample-line-number", "counts-number", "counts-string", "nodes-number",
+        "node-number", "ligand-number", "unitary-flat-numbers"])
+def test_wrong_shaped_field_exit_2(tmp_path, capsys, name, text, message):
+    files = input_files(tmp_path)
+    files[name].write_text(text)
+    assert main([*command_reading(name, files), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and files[name].name in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(gbs_toolkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import gbs_toolkit.cli, sys; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -220,3 +220,5 @@ def test_gbs_program_rejects_bad_loss():
     u = random_unitary(2, 1)
     with pytest.raises(ValidationError):
         GbsProgram.from_squeezing([0.1, 0.1], u, loss=[0.5, 1.2])
+    with pytest.raises(ValidationError):  # a program file's "loss": [null, 1.0]
+        GbsProgram.from_squeezing([0.1, 0.1], u, loss=[np.nan, 1.0])

@@ -192,6 +192,29 @@ def test_takagi_reconstruction_property(seed, dim):
     assert np.max(np.abs(u @ np.diag(lam) @ u.T - b)) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=24),
+       st.sampled_from(["generic", "degenerate", "rank-deficient", "near-deficient"]))
+def test_takagi_complex_generic_degenerate_and_rank_deficient(seed, dim, kind):
+    # W diag(d) W^T with W unitary has Takagi values d: repeated d and zero d
+    # exercise degenerate subspaces and the null-space completion; values just
+    # above LAMBDA_CLAMP have eigenvectors the embedding barely separates
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        b = random_symmetric(dim, seed)
+    else:
+        levels = rng.uniform(0.1, 1.0, 2)
+        d = levels[rng.integers(0, 2, dim)]
+        if kind != "degenerate":
+            d[rng.random(dim) < 0.5] = 0.0 if kind == "rank-deficient" else 1e-11
+        w = random_unitary(dim, seed)
+        b = w @ np.diag(d) @ w.T
+    u, lam = takagi(b)
+    assert np.max(np.abs(u @ np.diag(lam) @ u.T - b)) <= 1e-10
+    assert unitarity_deviation(u) <= 1e-10
+    assert np.max(np.abs(lam - np.linalg.svd(b, compute_uv=False))) <= 1e-10
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=12),
        st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=3))
