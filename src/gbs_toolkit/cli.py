@@ -1,10 +1,14 @@
 """Command-line entry point wiring all modules together.
 
-Every command resolves its parameters from defaults, then an optional
-``--config`` JSON file (unknown keys rejected), then explicit flags; fully
-validates its inputs; computes everything in memory; and only then writes
-artifacts, followed by a ``manifest.json`` listing each artifact's sha256.
-Reruns with identical config and seed reproduce byte-identical artifacts.
+An option is declared by its click flag, whose destination is its config
+key, and by that key's ``DEFAULTS`` entry.  A command names only its files,
+``config_path`` and ``out_dir``; its other flags arrive as ``**flags`` for
+``_resolve_config``: ``DEFAULTS[command]`` < ``--config`` JSON file (unknown
+or mistyped keys rejected) < explicit flags.  A command validates and computes
+everything in memory, then opens a ``_Run`` with its input files by config
+key, which records their paths and sha256 in ``manifest.json`` next to each
+artifact's.  Reruns with identical config and seed reproduce byte-identical
+artifacts.
 
 Exit codes: 0 success, 2 validation error, 3 numerical/guard error, 4 I/O
 error.
@@ -28,23 +32,21 @@ from .encoding import (MODE_ADJACENCY, MODE_LAPLACIAN, choose_scale, default_alp
 from .errors import GuardError, ValidationError
 from .mesh import clements_decompose, compile_timebin_schedule, loss_budget
 from .rna import gbs_clique_report, mcc, mcc_approx, predict
-from .simulator import draw, prepare_state, truncated_distribution
+from .simulator import LOW_CAPTURED_MASS, draw, prepare_state, truncated_distribution
 from . import serialize
 from .serialize import atomic_write_text, sha256_file
 
 
 class _Run:
-    """Collects inputs/artifacts and writes the manifest at the end."""
+    """Writes a command's artifacts, then a manifest of its config, its input files
+    (by config key, None for an optional file not given) and every sha256."""
 
-    def __init__(self, command: str, out_dir: Path, config: dict):
+    def __init__(self, command: str, out_dir: Path, config: dict, **files):
         self.command = command
         self.out_dir = Path(out_dir)
-        self.config = config
-        self.inputs: dict[str, str] = {}
+        self.config = {**config, **{k: None if f is None else str(f) for k, f in files.items()}}
+        self.inputs = {str(Path(f)): sha256_file(Path(f)) for f in files.values() if f is not None}
         self.artifacts: list[Path] = []
-
-    def record_input(self, path: Path):
-        self.inputs[str(path)] = sha256_file(path)
 
     def write(self, name: str, text: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -92,7 +94,7 @@ def _type_ok(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _resolve_config(config_path, cli_values: dict, defaults: dict) -> dict:
+def _resolve_config(config_path, flags: dict, defaults: dict) -> dict:
     """defaults < config file < explicit CLI flags; unknown or mistyped config
     values rejected."""
     resolved = dict(defaults)
@@ -108,7 +110,7 @@ def _resolve_config(config_path, cli_values: dict, defaults: dict) -> dict:
                 raise ValidationError(f"config {config_path}: {key}={value!r} does not "
                                       f"have the type of its default {defaults[key]!r}")
         resolved.update(doc)
-    for key, value in cli_values.items():
+    for key, value in flags.items():
         if value is not None:
             resolved[key] = value
     return resolved
@@ -129,12 +131,9 @@ def cli():
 @click.option("--schedule/--no-schedule", "emit_schedule", default=None,
               help="Also emit the Clements mesh time-bin schedule.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-def cmd_encode(graph_file, config_path, alpha, target_max_eig, mode, loss_eta,
-               emit_schedule, out_dir):
+def cmd_encode(graph_file, config_path, out_dir, **flags):
     """Compile a graph JSON file into a GBS program file."""
-    cfg = _resolve_config(config_path, {
-        "alpha": alpha, "target_max_eig": target_max_eig, "mode": mode,
-        "loss_eta": loss_eta, "emit_schedule": emit_schedule}, DEFAULTS["encode"])
+    cfg = _resolve_config(config_path, flags, DEFAULTS["encode"])
     g = serialize.load_graph(Path(graph_file))
     alpha_val = cfg["alpha"] if cfg["alpha"] is not None else default_alpha(g)
     params = choose_scale(g, alpha=alpha_val, target_max_eig=cfg["target_max_eig"],
@@ -142,9 +141,8 @@ def cmd_encode(graph_file, config_path, alpha, target_max_eig, mode, loss_eta,
     b = rescale(g, params)
     program = encode(b, loss=np.full(g.node_count, float(cfg["loss_eta"])))
 
-    run = _Run("encode", Path(out_dir), {**cfg, "alpha": alpha_val, "c": params.c,
-                                         "graph_file": str(graph_file)})
-    run.record_input(Path(graph_file))
+    run = _Run("encode", out_dir, {**cfg, "alpha": alpha_val, "c": params.c},
+               graph_file=graph_file)
     run.write("program.json", serialize.program_to_json(program))
     if cfg["emit_schedule"]:
         mesh = clements_decompose(program.unitary)
@@ -164,23 +162,19 @@ def cmd_encode(graph_file, config_path, alpha, target_max_eig, mode, loss_eta,
 @click.option("--collision-free", "collision_free", flag_value=True, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-def cmd_sample(program_file, config_path, n_samples, cutoff, min_photons,
-               collision_free, seed, out_dir):
+def cmd_sample(program_file, config_path, out_dir, **flags):
     """Draw samples from a program file; write samples.jsonl + distribution.csv."""
-    cfg = _resolve_config(config_path, {
-        "n_samples": n_samples, "cutoff": cutoff, "min_photons": min_photons,
-        "collision_free": collision_free, "seed": seed}, DEFAULTS["sample"])
+    cfg = _resolve_config(config_path, flags, DEFAULTS["sample"])
     program = serialize.load_program(Path(program_file))
     state = prepare_state(program)
     dist = truncated_distribution(state, cfg["cutoff"], cfg["collision_free"],
                                   cfg["min_photons"])
-    if dist.captured_mass < 0.5:
+    if dist.captured_mass < LOW_CAPTURED_MASS:
         click.echo(f"warning: truncated distribution captures only "
                    f"{dist.captured_mass:.3g} of the state's mass", err=True)
     batch = draw(dist, cfg["n_samples"], cfg["seed"])
 
-    run = _Run("sample", Path(out_dir), {**cfg, "program_file": str(program_file)})
-    run.record_input(Path(program_file))
+    run = _Run("sample", out_dir, cfg, program_file=program_file)
     run.write("samples.jsonl", serialize.samples_to_jsonl(batch.patterns))
     run.write("distribution.csv", serialize.distribution_to_csv(dist))
     run.finish(extra={"captured_mass": batch.captured_mass})
@@ -196,20 +190,15 @@ def cmd_sample(program_file, config_path, n_samples, cutoff, min_photons,
 @click.option("--min-photons", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-def cmd_clique(graph_file, samples_file, config_path, iterations, min_photons,
-               seed, out_dir):
+def cmd_clique(graph_file, samples_file, config_path, out_dir, **flags):
     """Post-process samples into a clique report (GBS vs uniform baseline)."""
-    cfg = _resolve_config(config_path, {
-        "iterations": iterations, "min_photons": min_photons, "seed": seed}, DEFAULTS["clique"])
+    cfg = _resolve_config(config_path, flags, DEFAULTS["clique"])
     g = serialize.load_graph(Path(graph_file))
     samples = serialize.load_samples(Path(samples_file))
     report = run_pipeline(g, samples, min_photons=cfg["min_photons"],
                           iterations=cfg["iterations"], seed=cfg["seed"])
 
-    run = _Run("clique", Path(out_dir), {**cfg, "graph_file": str(graph_file),
-                                         "samples_file": str(samples_file)})
-    run.record_input(Path(graph_file))
-    run.record_input(Path(samples_file))
+    run = _Run("clique", out_dir, cfg, graph_file=graph_file, samples_file=samples_file)
     run.write("report.json", serialize.report_to_json(report, cfg))
     run.write("report.csv", serialize.report_to_csv(report))
     run.finish()
@@ -231,22 +220,15 @@ def cmd_clique(graph_file, samples_file, config_path, iterations, min_photons,
 @click.option("--iterations", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-def cmd_dock(points_file, config_path, params_file, solve, n_samples, cutoff,
-             min_photons, iterations, seed, out_dir):
+def cmd_dock(points_file, config_path, params_file, out_dir, **flags):
     """Build the binding interaction graph; optionally solve for the pose."""
-    cfg = _resolve_config(config_path, {
-        "solve": solve, "n_samples": n_samples, "cutoff": cutoff,
-        "min_photons": min_photons, "iterations": iterations, "seed": seed}, DEFAULTS["dock"])
+    cfg = _resolve_config(config_path, flags, DEFAULTS["dock"])
     ligand, protein = serialize.load_pharmacophores(Path(points_file))
     params = DockingParams() if params_file is None else \
         serialize.docking_params_from_json(serialize.load_json(Path(params_file)))
     big = build_big(ligand, protein, params)
 
-    run = _Run("dock", Path(out_dir), {**cfg, "points_file": str(points_file),
-                                       "params_file": str(params_file) if params_file else None})
-    run.record_input(Path(points_file))
-    if params_file:
-        run.record_input(Path(params_file))
+    run = _Run("dock", out_dir, cfg, points_file=points_file, params_file=params_file)
     run.write("big.json", serialize.graph_to_json(big.graph))
 
     if cfg["solve"]:
@@ -255,15 +237,7 @@ def cmd_dock(points_file, config_path, params_file, solve, n_samples, cutoff,
                                    iterations=cfg["iterations"], max_photons=cfg["cutoff"])
         pose_clique = Clique.of(big.graph, report.best_clique())
         pose = interpret_pose(big, pose_clique)
-        pose_doc = {
-            "nodes": list(pose_clique.nodes),
-            "weight": pose_clique.weight,
-            "contacts": [{"ligand": c.ligand_point, "protein": c.protein_point,
-                          "weight": c.weight} for c in pose],
-            "freq_gbs": report.frequency(pose_clique.nodes, "gbs"),
-            "freq_uniform": report.frequency(pose_clique.nodes, "uniform"),
-        }
-        run.write("pose.json", json.dumps(pose_doc, indent=2) + "\n")
+        run.write("pose.json", serialize.pose_to_json(pose_clique, pose, report))
         click.echo(f"pose: {[(c.ligand_point, c.protein_point) for c in pose]} "
                    f"weight={pose_clique.weight:.4f}")
     run.finish()
@@ -283,21 +257,12 @@ def cmd_dock(points_file, config_path, params_file, solve, n_samples, cutoff,
 @click.option("--iterations", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-def cmd_rnafold(fasta_file, config_path, reference_file, exact, min_stem, min_loop,
-                n_samples, iterations, seed, out_dir):
+def cmd_rnafold(fasta_file, config_path, reference_file, out_dir, **flags):
     """Predict RNA secondary structure from a FASTA file."""
-    cfg = _resolve_config(config_path, {
-        "exact": exact, "min_stem": min_stem, "min_loop": min_loop,
-        "n_samples": n_samples, "iterations": iterations, "seed": seed}, DEFAULTS["rnafold"])
+    cfg = _resolve_config(config_path, flags, DEFAULTS["rnafold"])
     seq = serialize.load_fasta(Path(fasta_file))
-    reference = None
-    if reference_file is not None:
-        ref_text = serialize.read_text(Path(reference_file)).strip()
-        if serialize.dotbracket_length(ref_text) != len(seq):
-            raise ValidationError(
-                f"reference length {serialize.dotbracket_length(ref_text)} does not "
-                f"match sequence length {len(seq)}")
-        reference = serialize.parse_dotbracket(ref_text)
+    reference = None if reference_file is None else \
+        serialize.load_dotbracket(Path(reference_file), len(seq))
 
     pred = predict(seq, min_stem_len=cfg["min_stem"], min_loop=cfg["min_loop"],
                    exact=cfg["exact"], seed=cfg["seed"], n_samples=cfg["n_samples"],
@@ -310,11 +275,7 @@ def cmd_rnafold(fasta_file, config_path, reference_file, exact, min_stem, min_lo
         mcc_value = mcc(pred.base_pairs, reference, len(seq))
         approx_value = mcc_approx(pred.base_pairs, reference, len(seq))
 
-    run = _Run("rnafold", Path(out_dir), {**cfg, "fasta_file": str(fasta_file),
-                                          "reference_file": str(reference_file) if reference_file else None})
-    run.record_input(Path(fasta_file))
-    if reference_file:
-        run.record_input(Path(reference_file))
+    run = _Run("rnafold", out_dir, cfg, fasta_file=fasta_file, reference_file=reference_file)
     run.write("prediction.json", serialize.prediction_to_json(pred, mcc_value, approx_value))
     run.finish()
     msg = f"{len(pred.stems)} stems, {len(pred.base_pairs)} base pairs"

@@ -174,7 +174,12 @@ def rescale(g: WeightedGraph, p: EncodingParams) -> np.ndarray:
     """B = Omega K Omega for K = Laplacian (default) or adjacency."""
     k = laplacian(g) if p.mode == MODE_LAPLACIAN else g.adjacency()
     d = omega_diagonal(g, p.c, p.alpha)
-    return d[:, None] * k * d[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = d[:, None] * k * d[None, :]
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("B = Omega K Omega is not finite; the node weights are "
+                              "too large for this alpha")
+    return b
 
 
 def choose_scale(g: WeightedGraph, alpha: float = 0.0,

@@ -5,7 +5,8 @@ helpers used by the CLI manifest.
 Complex numbers serialize as [re, im] pairs; a unitary is stored row-major
 as a flat list of such pairs.  Every file is read through ``read_text`` and
 every field through ``_require``, so undecodable bytes, missing fields and
-fields of the wrong type all raise ``ValidationError``.  All writes go
+fields of the wrong type all raise ``ValidationError``.  A JSON ``true`` is
+no number, and a fraction is no integer.  All writes go
 through ``atomic_write_text`` so a failed run never leaves a partial
 artifact behind.
 """
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliques import CliqueReport
-from .docking import DockingParams, PharmacophorePoint
+from .cliques import Clique, CliqueReport
+from .docking import Contact, DockingParams, PharmacophorePoint
 from .encoding import GbsProgram, WeightedGraph
 from .errors import ValidationError
 from .mesh import LossModel, TimeBinSchedule
@@ -59,6 +60,11 @@ _NUMBER = (int, float)
 _MISSING = object()
 
 
+def _is(value, kind) -> bool:
+    """``isinstance``, except that a bool is no int and so no number."""
+    return isinstance(value, kind) and not (isinstance(value, bool) and kind in (int, _NUMBER))
+
+
 def _require(doc, key: str, where: str, kind=object, default=_MISSING):
     """``doc[key]``, which must be an instance of ``kind``; an absent key is an
     error unless a ``default`` is given."""
@@ -68,20 +74,25 @@ def _require(doc, key: str, where: str, kind=object, default=_MISSING):
         if default is _MISSING:
             raise ValidationError(f"{where}: missing required field {key!r}")
         return default
-    if not isinstance(doc[key], kind):
+    if not _is(doc[key], kind):
         raise ValidationError(f"{where}: field {key!r} has the wrong type "
                               f"({type(doc[key]).__name__})")
     return doc[key]
 
 
 def _array(values: list, where: str, dtype=float, ndim: int = 1) -> np.ndarray:
-    """A JSON list as an ``ndim``-dimensional numeric array."""
+    """A JSON list as an ``ndim``-dimensional numeric array; an int array takes
+    only JSON integers."""
+    kind = int if dtype is int else _NUMBER
     try:
-        arr = np.asarray(values, dtype=dtype)
+        cells = np.asarray(values, dtype=object)
+        ok = cells.ndim == ndim and all(_is(x, kind) for x in cells.flat)
+        arr = cells.astype(dtype) if ok else None
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or arr.ndim != ndim:
-        raise ValidationError(f"{where}: expected a {ndim}-d array of numbers, got {values!r}")
+    if arr is None:
+        raise ValidationError(f"{where}: expected a {ndim}-d array of numbers"
+                              f"{' (integers)' if dtype is int else ''}, got {values!r}")
     return arr
 
 
@@ -109,13 +120,14 @@ def graph_from_json(doc: dict, where: str = "graph") -> WeightedGraph:
         raise ValidationError(f"{where}: node ids must be dense from 0")
     weights = np.zeros(len(ids))
     for n in nodes:
-        weights[int(n["id"])] = float(_require(n, "weight", f"{where}.nodes", _NUMBER, 1.0))
+        weights[n["id"]] = float(_require(n, "weight", f"{where}.nodes", _NUMBER, 1.0))
     edges, edge_weights = [], []
     for e in edges_raw:
-        if not (isinstance(e, list) and len(e) in (2, 3)
-                and all(isinstance(x, _NUMBER) for x in e)):
-            raise ValidationError(f"{where}: edge {e} must be [i, j] or [i, j, w]")
-        edges.append((int(e[0]), int(e[1])))
+        if not (isinstance(e, list) and len(e) in (2, 3) and _is(e[0], int)
+                and _is(e[1], int) and all(_is(x, _NUMBER) for x in e[2:])):
+            raise ValidationError(f"{where}: edge {e} must be [i, j] or [i, j, w] with "
+                                  f"integer i, j")
+        edges.append((e[0], e[1]))
         edge_weights.append(float(e[2]) if len(e) == 3 else 1.0)
     ew = None if all(w == 1.0 for w in edge_weights) else edge_weights
     labels = _require(doc, "labels", where, list, None)
@@ -252,6 +264,18 @@ def load_pharmacophores(path: Path):
     return pharmacophores_from_json(load_json(path), where=str(path))
 
 
+def pose_to_json(clique: Clique, contacts: tuple[Contact, ...], report: CliqueReport) -> str:
+    doc = {
+        "nodes": list(clique.nodes),
+        "weight": clique.weight,
+        "contacts": [{"ligand": c.ligand_point, "protein": c.protein_point,
+                      "weight": c.weight} for c in contacts],
+        "freq_gbs": report.frequency(clique.nodes, "gbs"),
+        "freq_uniform": report.frequency(clique.nodes, "uniform"),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def docking_params_from_json(doc: dict) -> DockingParams:
     where, default = "docking params", DockingParams()
     tau = _require(doc, "tau", where, object, default.tau)
@@ -334,8 +358,13 @@ def parse_dotbracket(text: str) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def dotbracket_length(text: str) -> int:
-    return len(text.strip())
+def load_dotbracket(path: Path, length: int) -> frozenset[tuple[int, int]]:
+    """Base pairs of a dot-bracket file for a sequence of ``length`` bases."""
+    text = read_text(path).strip()
+    if len(text) != length:
+        raise ValidationError(f"reference length {len(text)} does not match sequence "
+                              f"length {length}")
+    return parse_dotbracket(text)
 
 
 def prediction_to_json(pred: FoldPrediction, mcc_value: float | None = None,

@@ -38,10 +38,11 @@ from .seeding import STREAM_SAMPLER, spawn_rng
 PATTERN_GUARD = 1_000_000
 PHOTON_LIMIT = 16
 PROB_CLAMP = -1e-12
+LOW_CAPTURED_MASS = 0.5  # below this captured mass the sampler warns of its truncation
 
 
 class CapturedMassWarning(UserWarning):
-    """Issued when the truncated distribution holds less than half the mass."""
+    """Issued when the truncated distribution holds less than LOW_CAPTURED_MASS."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +308,12 @@ def sample(s: GaussianState, n_samples: int, max_total_photons: int, seed: int,
     """Categorical draws from the truncated, renormalized distribution.
 
     ``captured_mass`` reports the mass inside the truncation so the error is
-    explicit; below 0.5 a CapturedMassWarning advises a higher cutoff.
+    explicit; below LOW_CAPTURED_MASS a CapturedMassWarning advises a higher cutoff.
     Deterministic per seed.
     """
     dist = truncated_distribution(s, max_total_photons, collision_free,
                                   min_total_photons)
-    if dist.captured_mass < 0.5:
+    if dist.captured_mass < LOW_CAPTURED_MASS:
         warnings.warn(
             f"truncated distribution captures only {dist.captured_mass:.3g} of the "
             "state's mass; consider a higher max_total_photons cutoff",

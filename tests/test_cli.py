@@ -1,13 +1,17 @@
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
-from gbs_toolkit.cli import DEFAULTS, main
+from gbs_toolkit.cli import DEFAULTS, cli, main
 from gbs_toolkit.encoding import GbsProgram, WeightedGraph
 from gbs_toolkit.numerics import random_unitary
 from gbs_toolkit import serialize
@@ -121,6 +125,15 @@ def test_cmd_encode_malformed_json_exit_2(tmp_path, capsys):
     assert "id" in capsys.readouterr().err
 
 
+def test_cmd_encode_overflowing_weights_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "graph.json"
+    write_graph(gpath, WeightedGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)],
+                                                [1e200, 1e200, 1.0]))
+    assert main(["encode", str(gpath), "--out", str(tmp_path / "o")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_encode_schedule_artifact(tmp_path):
     gpath = tmp_path / "graph.json"
     write_graph(gpath, triangle_graph())
@@ -192,6 +205,18 @@ def test_cmd_sample_config_int_and_bool_are_distinct(tmp_path, doc, code):
     assert main(["sample", str(ppath), "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == code
     assert (tmp_path / "o").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_command_options_are_its_config_keys(command):
+    """A command names only its files, config_path and out_dir; every other
+    option is a config key with a DEFAULTS entry, passed on in **flags."""
+    cmd = cli.commands[command]
+    named = {name for name, p in inspect.signature(cmd.callback).parameters.items()
+             if p.kind is not inspect.Parameter.VAR_KEYWORD}
+    assert all(name.endswith("_file") or name in ("config_path", "out_dir") for name in named)
+    options = {p.name for p in cmd.params if isinstance(p, click.Option)}
+    assert options - named == set(DEFAULTS[command])
 
 
 def test_cmd_encode_config_int_for_float_and_null_alpha(tmp_path):
@@ -481,11 +506,12 @@ def test_cmd_lossbudget_malformed_stages_exit_2(tmp_path, capsys, text):
 def input_files(tmp_path):
     files = {"graph": tmp_path / "graph.json", "samples": tmp_path / "samples.jsonl",
              "config": tmp_path / "cfg.json", "points": docking_points_file(tmp_path),
-             "fasta": tmp_path / "seq.fa", "reference": tmp_path / "ref.db",
-             "program": encoded_program_file(tmp_path)}
+             "params": tmp_path / "params.json", "fasta": tmp_path / "seq.fa",
+             "reference": tmp_path / "ref.db", "program": encoded_program_file(tmp_path)}
     write_graph(files["graph"], triangle_graph())
     files["samples"].write_text('{"counts": [1, 1, 0]}\n')
     files["config"].write_text("{}")
+    files["params"].write_text("{}")
     files["fasta"].write_text(">hairpin\nGGGAAACCC\n")
     files["reference"].write_text("(((...)))\n")
     return files
@@ -523,8 +549,14 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, name):
     ("graph", '{"nodes": [5], "edges": []}', "nodes"),
     ("points", '{"ligand": 3, "protein": []}', "ligand"),
     ("program", '{"mode_count": 1, "r": [0.1], "U": [5]}', "U"),
+    ("program", '{"mode_count": true, "r": [0.1], "U": [[1, 0]]}', "mode_count"),
+    ("graph", '{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1.7]]}', "integer i, j"),
+    ("samples", '{"counts": [1.7, 1, 0]}\n', "(integers)"),
+    ("samples", '{"counts": [1, true, 0]}\n', "(integers)"),
+    ("graph", '{"nodes": [{"id": 0}, {"id": true}], "edges": []}', "'id'"),
 ], ids=["sample-line-number", "counts-number", "counts-string", "nodes-number",
-        "node-number", "ligand-number", "unitary-flat-numbers"])
+        "node-number", "ligand-number", "unitary-flat-numbers", "mode-count-bool",
+        "edge-fraction", "counts-fraction", "counts-bool", "node-id-bool"])
 def test_wrong_shaped_field_exit_2(tmp_path, capsys, name, text, message):
     files = input_files(tmp_path)
     files[name].write_text(text)
@@ -532,6 +564,57 @@ def test_wrong_shaped_field_exit_2(tmp_path, capsys, name, text, message):
     err = capsys.readouterr().err
     assert message in err and files[name].name in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["encode", "{graph}"], {"graph_file": "graph"}),
+    (["sample", "{program}", "--n", "5"], {"program_file": "program"}),
+    (["clique", "{graph}", "{samples}", "--min-photons", "1"],
+     {"graph_file": "graph", "samples_file": "samples"}),
+    (["dock", "{points}"], {"points_file": "points", "params_file": None}),
+    (["dock", "{points}", "--params", "{params}"],
+     {"points_file": "points", "params_file": "params"}),
+    (["rnafold", "{fasta}", "--exact"], {"fasta_file": "fasta", "reference_file": None}),
+    (["rnafold", "{fasta}", "--exact", "--reference", "{reference}"],
+     {"fasta_file": "fasta", "reference_file": "reference"}),
+], ids=["encode", "sample", "clique", "dock", "dock-params", "rnafold", "rnafold-reference"])
+def test_manifest_records_input_files(tmp_path, argv, files):
+    paths = {k: str(v) for k, v in input_files(tmp_path).items()}
+    out = tmp_path / "o"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    given = {key: paths[name] if name else None for key, name in files.items()}
+    assert {k: v for k, v in manifest["config"].items() if k.endswith("_file")} == given
+    assert manifest["inputs"] == {p: serialize.sha256_file(p) for p in given.values() if p}
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "{graph}", "--schedule"],
+    ["clique", "{graph}", "{samples}", "--min-photons", "1", "--iterations", "5"],
+    ["dock", "{points}", "--solve", "--n", "50", "--seed", "1"],
+    ["rnafold", "{fasta}", "--gbs", "--n", "50"],
+], ids=["encode-schedule", "clique", "dock-solve", "rnafold-gbs"])
+def test_rerun_byte_identical(tmp_path, argv):
+    paths = {k: str(v) for k, v in input_files(tmp_path).items()}
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 0
+    first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    manifests = [json.loads(run.pop("manifest.json")) for run in (first, second)]
+    assert first == second
+    for manifest in manifests:
+        del manifest["wall_clock_utc"]
+    assert manifests[0] == manifests[1]
+
+
+def test_benchmark_span_targets_resolve():
+    """Every call site the benchmark tracer wraps is still a module attribute."""
+    path = Path(__file__).parents[1] / "gbsbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    missing = [(module, attr) for module, attr, _, _ in spans._targets(spans.Tracer())
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 def test_cli_import_does_not_load_scipy():

@@ -4,12 +4,14 @@ import pytest
 from gbs_toolkit.cliques import Clique, max_weight_clique
 from gbs_toolkit.docking import (
     BindingInteractionGraph,
+    Contact,
     DockingParams,
     PharmacophorePoint,
     build_big,
     interpret_pose,
 )
-from gbs_toolkit.errors import ConfigurationError, ValidationError
+from gbs_toolkit.encoding import WeightedGraph
+from gbs_toolkit.errors import ConfigurationError, InternalConsistencyError, ValidationError
 
 
 def lig_point(pid, xyz, kind="HA"):
@@ -178,6 +180,15 @@ def test_interpret_pose_rejects_non_clique():
     big = planted_big()
     with pytest.raises(ValidationError):
         interpret_pose(big, Clique((0, 1), 2.0))
+
+
+def test_interpret_pose_corrupt_big_raises_internal_consistency():
+    # build_big never joins two contacts that share a point; this BIG does
+    g = WeightedGraph.from_edges(2, [(0, 1)])
+    big = BindingInteractionGraph(g, (Contact("l0", "P0", 1.0), Contact("l0", "P1", 1.0)),
+                                  ("l0",), ("P0", "P1"))
+    with pytest.raises(InternalConsistencyError, match="corrupt"):
+        interpret_pose(big, Clique.of(g, (0, 1)))
 
 
 def test_every_big_clique_is_compatible_and_injective():
